@@ -153,7 +153,7 @@ func TestBackwardGradientCheck(t *testing.T) {
 	cfg.TokenVocab = 64
 	cfg.PathVocab = 64
 	m := NewModel(cfg)
-	ctxs := []Context{{Left: 3, Path: 10, Right: 7}, {Left: 7, Path: 11, Right: 3}, {Left: 1, Path: 10, Right: 2}}
+	ctxs := repeatBag
 
 	// Loss = 0.5 * |v|^2, so dLoss/dv = v.
 	loss := func() float64 {
@@ -178,9 +178,9 @@ func TestBackwardGradientCheck(t *testing.T) {
 		idxs := []int{0}
 		switch p.Name {
 		case "c2v.tok":
-			idxs = []int{3 * cfg.EmbedDim, 7*cfg.EmbedDim + 1, 1 * cfg.EmbedDim, 2*cfg.EmbedDim + 2}
+			idxs = []int{3 * cfg.EmbedDim, 7*cfg.EmbedDim + 1, 1 * cfg.EmbedDim, 2*cfg.EmbedDim + 2, 5*cfg.EmbedDim + 3}
 		case "c2v.path":
-			idxs = []int{10 * cfg.EmbedDim, 11*cfg.EmbedDim + 3}
+			idxs = []int{10 * cfg.EmbedDim, 11*cfg.EmbedDim + 3, 12*cfg.EmbedDim + 1}
 		case "c2v.W":
 			idxs = []int{0, 13, 37, 50}
 		case "c2v.b", "c2v.attn":
@@ -218,8 +218,8 @@ func TestAttentionFavoursInformativeContext(t *testing.T) {
 	// frozen at a random point would shift attention; here we simply check
 	// that alpha sums to one and stays positive through updates.
 	v, st := m.Forward(ctxs)
-	if math.Abs(st.alpha[0]+st.alpha[1]-1) > 1e-9 {
-		t.Fatalf("alpha = %v, want sum 1", st.alpha)
+	if math.Abs(st.s.alpha[0]+st.s.alpha[1]-1) > 1e-9 {
+		t.Fatalf("alpha = %v, want sum 1", st.s.alpha)
 	}
 	dv := make([]float64, len(v))
 	for i := range dv {

@@ -2,7 +2,9 @@ package code2vec
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"neurovec/internal/nn"
 )
@@ -18,6 +20,8 @@ type Model struct {
 	W    *nn.Param // OutDim x 3*EmbedDim
 	B    *nn.Param // OutDim
 	Attn *nn.Param // OutDim
+
+	grads gradScratch // Backward's buffers; Backward writes G, so it is never concurrent
 }
 
 // NewModel initialises the embedder.
@@ -47,71 +51,32 @@ func (m *Model) Params() []*nn.Param {
 // Dim returns the code-vector width.
 func (m *Model) Dim() int { return m.Cfg.OutDim }
 
-// State caches a forward pass for the matching Backward call.
+// State caches a forward pass for the matching Backward call: the bag and
+// the buffers its forward filled (projections h and attention weights).
 type State struct {
-	ctxs  []Context
-	c     [][]float64 // concatenated context inputs, 3d each
-	h     [][]float64 // tanh(W c + b), OutDim each
-	alpha []float64   // attention weights
+	ctxs []Context
+	s    Scratch
 }
 
-// Forward embeds a context bag into a code vector. An empty bag yields the
-// zero vector (e.g. a degenerate loop with no terminals).
+// Forward embeds a context bag into a code vector and keeps the State that
+// Backward needs. It is ForwardInto's kernel run into buffers the State
+// owns, so the vector is bit-identical to ForwardInto's. An empty bag yields
+// the zero vector (e.g. a degenerate loop with no terminals).
 func (m *Model) Forward(ctxs []Context) ([]float64, *State) {
-	d := m.Cfg.EmbedDim
-	out := m.Cfg.OutDim
 	st := &State{ctxs: ctxs}
-	vec := make([]float64, out)
-	if len(ctxs) == 0 {
-		return vec, st
-	}
-
-	n := len(ctxs)
-	st.c = make([][]float64, n)
-	st.h = make([][]float64, n)
-	scores := make([]float64, n)
-	for i, cx := range ctxs {
-		c := make([]float64, 3*d)
-		copy(c[0:d], m.Tok.W[int(cx.Left)*d:(int(cx.Left)+1)*d])
-		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
-		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
-		st.c[i] = c
-
-		h := make([]float64, out)
-		for o := 0; o < out; o++ {
-			row := m.W.W[o*3*d : (o+1)*3*d]
-			s := m.B.W[o]
-			for k, cv := range c {
-				s += row[k] * cv
-			}
-			h[o] = math.Tanh(s)
-		}
-		st.h[i] = h
-
-		sc := 0.0
-		for o := 0; o < out; o++ {
-			sc += m.Attn.W[o] * h[o]
-		}
-		scores[i] = sc
-	}
-	st.alpha = nn.Softmax(scores)
-	for i := range ctxs {
-		a := st.alpha[i]
-		for o := 0; o < out; o++ {
-			vec[o] += a * st.h[i][o]
-		}
-	}
-	return vec, st
+	return m.ForwardInto(make([]float64, m.Cfg.OutDim), ctxs, &st.s), st
 }
 
 // Scratch holds the reusable buffers ForwardInto needs. A Scratch belongs to
 // one caller at a time; pool or confine it. The zero value is ready to use —
 // buffers grow on demand and are retained across calls.
 type Scratch struct {
-	c      []float64 // one context input, 3*EmbedDim
 	h      []float64 // all squashed projections, n*OutDim
 	scores []float64 // attention logits, n
 	alpha  []float64 // attention weights, n
+	order  []uint64  // (Left, Path, index) keys, sorted
+	left   []float64 // bias + left segment for the current Left
+	lp     []float64 // left prefix + path segment for the current (Left, Path)
 }
 
 func growF(buf []float64, n int) []float64 {
@@ -121,13 +86,20 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ForwardInto is Forward for inference: it writes the code vector into dst
-// (which must have length Cfg.OutDim), keeps no State for Backward, and
-// performs zero heap allocations once s's buffers have grown to the bag
-// size. The result is bit-identical to Forward's — same floating-point
-// operation order throughout.
+// ForwardInto is the embedder's inference forward: it writes the code vector
+// into dst (which must have length Cfg.OutDim) and performs zero heap
+// allocations once s's buffers have grown to the bag size.
+//
+// Each projection output sums the bias, then the left-token, path and
+// right-token segments of its W row, each in index order — the order of the
+// plain product of W with the concatenated [tok(L); path(P); tok(R)]. The
+// partial sum after the left segment depends only on Left and the one after
+// the path segment only on (Left, Path), so contexts are visited in
+// (Left, Path) order and each partial sum is formed once per distinct key
+// instead of once per context. The result is bit-identical to the plain
+// product. h lands at each context's original index, so the attention
+// softmax and the pooling keep their order too.
 func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64 {
-	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
 	if len(dst) != out {
 		panic(&nn.ShapeError{Op: "code2vec dst", Got: len(dst), Want: out})
@@ -140,29 +112,15 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	}
 
 	n := len(ctxs)
-	s.c = growF(s.c, 3*d)
 	s.h = growF(s.h, n*out)
 	s.scores = growF(s.scores, n)
 	s.alpha = growF(s.alpha, n)
-	c := s.c
-	for i, cx := range ctxs {
-		copy(c[0:d], m.Tok.W[int(cx.Left)*d:(int(cx.Left)+1)*d])
-		copy(c[d:2*d], m.Path.W[int(cx.Path)*d:(int(cx.Path)+1)*d])
-		copy(c[2*d:3*d], m.Tok.W[int(cx.Right)*d:(int(cx.Right)+1)*d])
-
+	m.project(s, ctxs)
+	for i := range ctxs {
 		h := s.h[i*out : (i+1)*out]
-		for o := 0; o < out; o++ {
-			row := m.W.W[o*3*d : (o+1)*3*d]
-			sum := m.B.W[o]
-			for k, cv := range c {
-				sum += row[k] * cv
-			}
-			h[o] = math.Tanh(sum)
-		}
-
 		sc := 0.0
-		for o := 0; o < out; o++ {
-			sc += m.Attn.W[o] * h[o]
+		for o, v := range h {
+			sc += m.Attn.W[o] * v
 		}
 		s.scores[i] = sc
 	}
@@ -170,69 +128,186 @@ func (m *Model) ForwardInto(dst []float64, ctxs []Context, s *Scratch) []float64
 	for i := range ctxs {
 		a := s.alpha[i]
 		h := s.h[i*out : (i+1)*out]
-		for o := 0; o < out; o++ {
+		for o := range dst {
 			dst[o] += a * h[o]
 		}
 	}
 	return dst
 }
 
-// Backward accumulates parameter gradients given dLoss/dCodeVector.
-func (m *Model) Backward(st *State, dvec []float64) {
-	if len(st.ctxs) == 0 {
-		return
-	}
+// project writes h_i = tanh(W [tok(L_i); path(P_i); tok(R_i)] + b) for every
+// context into s.h, sharing the left and (left, path) partial sums.
+func (m *Model) project(s *Scratch, ctxs []Context) {
 	d := m.Cfg.EmbedDim
 	out := m.Cfg.OutDim
+	w := 3 * d
+	s.left = growF(s.left, out)
+	s.lp = growF(s.lp, out)
+
+	// Keys pack (Left, Path, index); the index bits always survive, so a
+	// vocabulary too wide to pack only weakens the grouping, never the
+	// result: a run is cut wherever the visited context's Left or Path
+	// differs from the previous one's.
+	ib := bits.Len(uint(len(ctxs)))
+	pb := ib + bits.Len(uint(m.Cfg.PathVocab))
+	s.order = s.order[:0]
+	for i, cx := range ctxs {
+		s.order = append(s.order, uint64(cx.Left)<<pb|uint64(cx.Path)<<ib|uint64(i))
+	}
+	slices.Sort(s.order)
+
+	mask := uint64(1)<<ib - 1
+	var prev Context
+	for j, key := range s.order {
+		i := int(key & mask)
+		cx := ctxs[i]
+		newLeft := j == 0 || cx.Left != prev.Left
+		if newLeft {
+			tok := m.Tok.W[int(cx.Left)*d : (int(cx.Left)+1)*d]
+			for o := range s.left {
+				row := m.W.W[o*w : o*w+d]
+				sum := m.B.W[o]
+				for k, v := range tok {
+					sum += row[k] * v
+				}
+				s.left[o] = sum
+			}
+		}
+		if newLeft || cx.Path != prev.Path {
+			path := m.Path.W[int(cx.Path)*d : (int(cx.Path)+1)*d]
+			for o := range s.lp {
+				row := m.W.W[o*w+d : o*w+2*d]
+				sum := s.left[o]
+				for k, v := range path {
+					sum += row[k] * v
+				}
+				s.lp[o] = sum
+			}
+		}
+		tok := m.Tok.W[int(cx.Right)*d : (int(cx.Right)+1)*d]
+		h := s.h[i*out : (i+1)*out]
+		for o := range h {
+			row := m.W.W[o*w+2*d : (o+1)*w]
+			sum := s.lp[o]
+			for k, v := range tok {
+				sum += row[k] * v
+			}
+			h[o] = math.Tanh(sum)
+		}
+		prev = cx
+	}
+}
+
+// gradScratch holds Backward's buffers, grown on demand and kept.
+type gradScratch struct {
+	dAlpha []float64 // dLoss/dalpha_i, n
+	dpre   []float64 // dLoss/d(pre-tanh projection), n*OutDim
+	sum    []float64 // dpre summed per distinct embedding row, OutDim each
+	slot   []int32   // vocabulary row -> 1 + its index in rows; 0 when unseen
+	rows   []int     // distinct embedding rows of one segment, first-seen order
+}
+
+// Backward accumulates parameter gradients given dLoss/dCodeVector. Like any
+// writer of the gradients it must not run concurrently on one model.
+func (m *Model) Backward(st *State, dvec []float64) {
 	n := len(st.ctxs)
+	if n == 0 {
+		return
+	}
+	out := m.Cfg.OutDim
+	h, alpha := st.s.h, st.s.alpha
+	g := &m.grads
+	g.dAlpha = growF(g.dAlpha, n)
+	g.dpre = growF(g.dpre, n*out)
 
 	// v = sum_i alpha_i h_i with alpha = softmax(attn . h_i).
 	// dAlpha_i = h_i . dvec ; dScore via softmax Jacobian;
 	// dh_i = alpha_i dvec + dScore_i * attn.
-	dAlpha := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		s := 0.0
-		for o := 0; o < out; o++ {
-			s += st.h[i][o] * dvec[o]
+		for o, v := range h[i*out : (i+1)*out] {
+			s += v * dvec[o]
 		}
-		dAlpha[i] = s
+		g.dAlpha[i] = s
 	}
 	dot := 0.0
-	for i := 0; i < n; i++ {
-		dot += st.alpha[i] * dAlpha[i]
+	for i := range n {
+		dot += alpha[i] * g.dAlpha[i]
 	}
-	for i := 0; i < n; i++ {
-		dScore := st.alpha[i] * (dAlpha[i] - dot)
-		// Attention vector gradient.
-		for o := 0; o < out; o++ {
-			m.Attn.G[o] += dScore * st.h[i][o]
+	for i := range n {
+		dScore := alpha[i] * (g.dAlpha[i] - dot)
+		dpre := g.dpre[i*out : (i+1)*out]
+		for o, v := range h[i*out : (i+1)*out] {
+			m.Attn.G[o] += dScore * v
+			dh := alpha[i]*dvec[o] + dScore*m.Attn.W[o]
+			dpre[o] = dh * (1 - v*v)
+			m.B.G[o] += dpre[o]
 		}
-		// Through h_i (tanh) into W, b and the context inputs.
-		cx := st.ctxs[i]
-		c := st.c[i]
-		dc := make([]float64, 3*d)
-		for o := 0; o < out; o++ {
-			dh := st.alpha[i]*dvec[o] + dScore*m.Attn.W[o]
-			dpre := dh * (1 - st.h[i][o]*st.h[i][o])
-			if dpre == 0 {
+	}
+
+	// The pre-activation is linear in each segment's embedding row, so each
+	// segment's W and embedding gradients are taken once per distinct row
+	// from the dpre summed over the contexts that read that row.
+	m.segmentGrads(st.ctxs, 0, m.Tok)
+	m.segmentGrads(st.ctxs, 1, m.Path)
+	m.segmentGrads(st.ctxs, 2, m.Tok)
+}
+
+// row returns the embedding row that projection segment seg (0 left token,
+// 1 path, 2 right token) reads for this context.
+func (cx Context) row(seg int) int {
+	switch seg {
+	case 0:
+		return int(cx.Left)
+	case 1:
+		return int(cx.Path)
+	}
+	return int(cx.Right)
+}
+
+// segmentGrads adds the gradients of projection segment seg (0 left token,
+// 1 path, 2 right token), whose input rows come from table: for every
+// distinct row r with summed dpre D_r, W's segment columns gain D_r ⊗ e_r
+// and e_r's gradient gains W_segᵀ D_r.
+func (m *Model) segmentGrads(ctxs []Context, seg int, table *nn.Param) {
+	d := m.Cfg.EmbedDim
+	out := m.Cfg.OutDim
+	w := 3 * d
+	g := &m.grads
+	if vocab := len(table.W) / d; len(g.slot) < vocab {
+		g.slot = make([]int32, vocab)
+	}
+	g.sum = growF(g.sum, len(ctxs)*out)
+	g.rows = g.rows[:0]
+	for i, cx := range ctxs {
+		r := cx.row(seg)
+		dpre := g.dpre[i*out : (i+1)*out]
+		if k := int(g.slot[r]); k != 0 {
+			sum := g.sum[(k-1)*out : k*out]
+			for o, v := range dpre {
+				sum[o] += v
+			}
+			continue
+		}
+		g.rows = append(g.rows, r)
+		g.slot[r] = int32(len(g.rows))
+		copy(g.sum[(len(g.rows)-1)*out:len(g.rows)*out], dpre)
+	}
+	for k, r := range g.rows {
+		g.slot[r] = 0
+		emb := table.W[r*d : (r+1)*d]
+		eg := table.G[r*d : (r+1)*d]
+		for o, dv := range g.sum[k*out : (k+1)*out] {
+			if dv == 0 {
 				continue
 			}
-			row := m.W.W[o*3*d : (o+1)*3*d]
-			grow := m.W.G[o*3*d : (o+1)*3*d]
-			m.B.G[o] += dpre
-			for k := 0; k < 3*d; k++ {
-				grow[k] += dpre * c[k]
-				dc[k] += dpre * row[k]
+			off := o*w + seg*d
+			row := m.W.W[off : off+d]
+			wg := m.W.G[off : off+d]
+			for j, e := range emb {
+				wg[j] += dv * e
+				eg[j] += dv * row[j]
 			}
-		}
-		// Scatter into the embedding tables.
-		lg := m.Tok.G[int(cx.Left)*d : (int(cx.Left)+1)*d]
-		pg := m.Path.G[int(cx.Path)*d : (int(cx.Path)+1)*d]
-		rg := m.Tok.G[int(cx.Right)*d : (int(cx.Right)+1)*d]
-		for k := 0; k < d; k++ {
-			lg[k] += dc[k]
-			pg[k] += dc[d+k]
-			rg[k] += dc[2*d+k]
 		}
 	}
 }

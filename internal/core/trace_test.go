@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"neurovec/internal/obs"
@@ -9,7 +12,7 @@ import (
 
 // pipelineStages is every compile-pipeline stage the instrumentation must
 // report — the contract the /metrics stage histogram and ?trace=1 build on.
-var pipelineStages = []string{"compile", "parse", "extract", "lower", "deps", "sim_baseline", "decide", "sim"}
+var pipelineStages = []string{"compile", "parse", "sema", "extract", "lower", "deps", "sim_baseline", "decide", "sim"}
 
 func TestPredictLoopsEmitsPipelineSpans(t *testing.T) {
 	fw := New(DefaultConfig())
@@ -79,5 +82,53 @@ func TestTraceSpansNilSafe(t *testing.T) {
 	}
 	if got := TraceSpans(obs.NewTrace()); got != nil {
 		t.Errorf("TraceSpans(empty) = %v, want nil", got)
+	}
+}
+
+// TestEmittedStagesAreDocumented ties the span names the compile pipeline
+// emits to the stage list in docs/OBSERVABILITY.md: PredictLoops (under a
+// learned and a cost-model policy) and SweepSource run under a recorder,
+// and every span name they emit must appear in the list.
+func TestEmittedStagesAreDocumented(t *testing.T) {
+	body, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.Join(strings.Fields(string(body)), " ")
+	start := strings.Index(doc, "Stages emitted by the compile pipeline")
+	end := strings.Index(doc, "The trainer adds")
+	if start < 0 || end < start {
+		t.Fatal("docs/OBSERVABILITY.md: compile-pipeline stage list not found")
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([a-z_]+)`").FindAllStringSubmatch(doc[start:end], -1) {
+		documented[m[1]] = true
+	}
+
+	tr := obs.NewTrace()
+	ctx := obs.WithRecorder(context.Background(), tr, nil)
+	fw := versionedFramework(t)
+	if _, err := fw.PredictLoops(ctx, twoLoopSrc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.PredictLoops(ctx, twoLoopSrc, nil, WithPolicyName("costmodel")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.SweepSource(ctx, twoLoopSrc, nil); err != nil {
+		t.Fatal(err)
+	}
+	emitted := map[string]bool{}
+	for _, s := range tr.Spans() {
+		emitted[s.Name] = true
+	}
+	for _, want := range []string{"embed", "sema", "sweep"} {
+		if !emitted[want] {
+			t.Errorf("no %q span emitted; got %v", want, emitted)
+		}
+	}
+	for name := range emitted {
+		if !documented[name] {
+			t.Errorf("stage %q is emitted but missing from the stage list in docs/OBSERVABILITY.md", name)
+		}
 	}
 }

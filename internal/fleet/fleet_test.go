@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -394,6 +395,83 @@ func TestFleetBatchAndStreamMatchSingleProcess(t *testing.T) {
 	}
 }
 
+// TestFleetNDJSONStreamFullDuplex streams a long NDJSON body through the
+// router over a real listener and reads response lines while the body is
+// still being written: the second half of the body is sent only after the
+// first response line has arrived. Every request line must get exactly one
+// successful response, in order — an HTTP/1.1 handler that flushes without
+// full duplex loses the unread body at its first flush.
+func TestFleetNDJSONStreamFullDuplex(t *testing.T) {
+	testFixture(t)
+	rt, _ := newTestFleet(t, []string{fixture.model1, fixture.model1}, Config{})
+	ts := httptest.NewServer(rt)
+	defer ts.Close()
+
+	const n = 240
+	pr, pw := io.Pipe()
+	firstRead := make(chan struct{})
+	var stalled atomic.Bool
+	go func() {
+		enc := json.NewEncoder(pw)
+		for i := 0; i < n; i++ {
+			if i == n/2 {
+				// A router that is not full duplex can block on the unread
+				// body before sending anything; finish the body then, and
+				// fail below.
+				select {
+				case <-firstRead:
+				case <-time.After(5 * time.Second):
+					stalled.Store(true)
+				}
+			}
+			req := api.CompileRequest{File: fmt.Sprintf("f%03d.c", i), Source: fixture.srcs[i%len(fixture.srcs)]}
+			if err := enc.Encode(req); err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+		}
+		pw.Close()
+	}()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/compile", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	resp, err := (&http.Client{Timeout: time.Minute}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	got := 0
+	for sc.Scan() {
+		if got == 0 {
+			close(firstRead)
+		}
+		var r api.CompileResponse
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("response line %d: %v", got, err)
+		}
+		if want := fmt.Sprintf("f%03d.c", got); r.File != want || r.Error != "" {
+			t.Fatalf("response line %d: file %q error %q, want %q with no error", got, r.File, r.Error, want)
+		}
+		got++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Fatalf("%d response lines for %d request lines", got, n)
+	}
+	if stalled.Load() {
+		t.Fatal("no response line arrived while the body was still being written")
+	}
+}
+
 // TestFleetKillReplicaMidStream is the failure drill: a replica dies while
 // an NDJSON batch is in flight, and the router must route the remaining
 // lines to the survivors — every line answered, in order, byte-identical
@@ -413,10 +491,10 @@ func TestFleetKillReplicaMidStream(t *testing.T) {
 	}
 
 	// Drive the router handler directly with a piped request body and a
-	// channel-backed response writer: Go's HTTP/1.1 client cannot pipeline
-	// request lines against response lines on one connection (no client-side
-	// full duplex), but the handler streams each response as its line
-	// completes, which is exactly what this test needs to observe.
+	// channel-backed response writer, so the test decides exactly when each
+	// line is written and read back: the handler streams each response as
+	// its line completes, which is what this drill needs to observe (the
+	// real-listener stream is TestFleetNDJSONStreamFullDuplex).
 	pr, pw := io.Pipe()
 	httpReq := httptest.NewRequest(http.MethodPost, "/v2/compile", pr)
 	httpReq.Header.Set("Content-Type", "application/x-ndjson")

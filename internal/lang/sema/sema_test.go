@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -255,3 +256,61 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil Facts has nonzero length")
 	}
 }
+
+// TestStaleTripNotProven guards the trip proof against stale constants: a
+// loop whose bound, step or induction variable is written in its body must
+// not get Facts.TripProven, and the same loop without that write must get
+// it with the right Trip. Each case's src holds one %s where the mutating
+// statement goes; L0 is the loop under test.
+func TestStaleTripNotProven(t *testing.T) {
+	cases := []struct {
+		name     string
+		src      string
+		mutation string
+		trip     int64
+	}{
+		{"bound assigned", boundLoop, "n = n - 1;", 32},
+		{"bound incremented", boundLoop, "n++;", 32},
+		{"bound compound-assigned", boundLoop, "n += 1;", 32},
+		{"bound assigned in a branch", boundLoop, "if (a[i] > 0) { n = 16; }", 32},
+		{"bound assigned in an inner loop", boundLoop, "for (int j = 0; j < 2; j++) { n = n - 1; }", 32},
+		{"induction variable assigned", boundLoop, "i = i + 1;", 32},
+		{"induction variable incremented", boundLoop, "i++;", 32},
+		{"induction variable compound-assigned", boundLoop, "i += 2;", 32},
+		{"step assigned", `
+int a[64];
+void f() {
+    int s = 2;
+    for (int i = 0; i < 64; i += s) { a[i] = i; %s }
+}
+`, "s = s + 1;", 32},
+		{"downward bound decremented", `
+int a[64];
+void f() {
+    int m = 4;
+    for (int i = 60; i >= m; i--) { a[i] = i; %s }
+}
+`, "m--;", 57},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mutated := check(t, fmt.Sprintf(tc.src, tc.mutation))
+			if f, ok := mutated.Facts.Loop("L0"); !ok || f.TripProven {
+				t.Errorf("with %q: fact %+v (found %v), want no proven trip", tc.mutation, f, ok)
+			}
+			clean := check(t, fmt.Sprintf(tc.src, ""))
+			if f, ok := clean.Facts.Loop("L0"); !ok || !f.TripProven || f.Trip != tc.trip {
+				t.Errorf("without %q: fact %+v (found %v), want proven trip %d", tc.mutation, f, ok, tc.trip)
+			}
+		})
+	}
+}
+
+// boundLoop runs 32 iterations bounded by a folded local.
+const boundLoop = `
+int a[64];
+void f() {
+    int n = 32;
+    for (int i = 0; i < n; i++) { a[i] = i; %s }
+}
+`

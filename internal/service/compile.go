@@ -282,7 +282,12 @@ func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 	// gives batch clients the same correlation key on every response record.
 	reqID := w.Header().Get("X-Request-ID")
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
+	// The body is read while responses are flushed. Without full duplex an
+	// HTTP/1.1 server discards the unread body at the first flush, cutting
+	// the stream short; the error is ErrNotSupported on writers that never
+	// had that limit (HTTP/2, recorders).
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex()
 
 	type slot chan *api.CompileResponse
 	queue := make(chan slot, s.pool.Workers()*2)
@@ -320,9 +325,7 @@ func (s *Server) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	for out := range queue {
 		enc.Encode(<-out) // Encode appends the NDJSON newline
-		if flusher != nil {
-			flusher.Flush()
-		}
+		rc.Flush()
 	}
 }
 

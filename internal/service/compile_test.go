@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"neurovec/internal/api"
 )
@@ -303,6 +308,83 @@ func TestCompileNDJSONStream(t *testing.T) {
 	}
 	if ok.Error != "" || ok.File != "ok.c" {
 		t.Errorf("well-formed line after a bad one failed: %+v", ok)
+	}
+}
+
+// TestCompileNDJSONStreamFullDuplex streams a long NDJSON body over a real
+// listener and reads response lines while the body is still being written:
+// the second half of the body is sent only after the first response line
+// has arrived. Every request line must get exactly one successful response,
+// in order — an HTTP/1.1 handler that flushes without full duplex loses the
+// unread body at its first flush.
+func TestCompileNDJSONStreamFullDuplex(t *testing.T) {
+	testFixture(t)
+	s := newTestServer(t, Config{ModelPath: fixture.model1, QueueDepth: 64})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	const n = 240
+	pr, pw := io.Pipe()
+	firstRead := make(chan struct{})
+	var stalled atomic.Bool
+	go func() {
+		enc := json.NewEncoder(pw)
+		for i := 0; i < n; i++ {
+			if i == n/2 {
+				// A server that is not full duplex can block on the unread
+				// body before sending anything; finish the body then, and
+				// fail below.
+				select {
+				case <-firstRead:
+				case <-time.After(5 * time.Second):
+					stalled.Store(true)
+				}
+			}
+			req := api.CompileRequest{File: fmt.Sprintf("f%03d.c", i), Source: fixture.srcs[i%len(fixture.srcs)]}
+			if err := enc.Encode(req); err != nil {
+				pw.CloseWithError(err)
+				return
+			}
+		}
+		pw.Close()
+	}()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/compile", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	resp, err := (&http.Client{Timeout: time.Minute}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	got := 0
+	for sc.Scan() {
+		if got == 0 {
+			close(firstRead)
+		}
+		var r api.CompileResponse
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("response line %d: %v", got, err)
+		}
+		if want := fmt.Sprintf("f%03d.c", got); r.File != want || r.Error != "" {
+			t.Fatalf("response line %d: file %q error %q, want %q with no error", got, r.File, r.Error, want)
+		}
+		got++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Fatalf("%d response lines for %d request lines", got, n)
+	}
+	if stalled.Load() {
+		t.Fatal("no response line arrived while the body was still being written")
 	}
 }
 

@@ -321,6 +321,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// handlers can flush and enable full duplex through the recorder.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // instrument wraps a handler with the request-scoped plumbing every endpoint
 // shares: an X-Request-ID (honoring a sane client-supplied one), a context
 // armed with the per-stage latency sink so pipeline spans land in
